@@ -134,6 +134,10 @@ class Machine:
         #: Scheduler hooks (see repro.interp.processes).
         self.yield_requested = False
         self.on_halt: Callable[["Machine"], bool] | None = None
+        #: Trap count past which a trap requests a yield, so the run
+        #: loop ends the slice at the exact step that breaks the
+        #: scheduler's trap-storm quota (None: no quota).
+        self.trap_ceiling: int | None = None
         #: Remote XFER hook (see repro.net.shard): a callable
         #: ``stub(meta, kind, return_pc) -> bool`` consulted at the top
         #: of the shared call path.  Returning True means the call was
@@ -179,8 +183,9 @@ class Machine:
         if self.linkage_cache is not None:
             self._epoch_subscribers.append(self.linkage_cache.invalidate)
         #: Optional execution engine (repro.jit.JitEngine).  When set and
-        #: active, ``run()`` delegates to it; ``step()`` is always the
-        #: interpreter (the engine's own deoptimization primitive).
+        #: active, the run loop (``run()`` and scheduler slices) delegates
+        #: to it; ``step()`` is always the interpreter (the engine's own
+        #: deoptimization primitive).
         self.engine = None
 
     # ------------------------------------------------------------------
@@ -221,32 +226,40 @@ class Machine:
             )
 
     def run(self, max_steps: int | None = None) -> list[int]:
-        """Execute until HALT / final return; returns the result stack.
+        """Execute until HALT / final return / YIELD; returns the result stack.
 
         *max_steps* is a budget for **this call**: a resumed machine
         (scheduler yield, REPL-style re-run) gets the full allowance
         again rather than a budget shrunken by steps already executed.
         ``config.step_limit`` remains the cumulative backstop over the
-        machine's whole life.
+        machine's whole life.  Running out of either raises
+        :class:`~repro.errors.StepLimitExceeded` — decided here alone.
 
-        This is the fused host loop: it inlines :meth:`step` with the
-        dispatch table, decode cache, and counter hoisted into locals.
-        Semantics are identical to calling ``step()`` in a loop; the
-        only observable difference is host wall-clock time.  (A hook
-        installed mid-run by a trap handler — e.g. ``enable_profile`` —
-        takes effect on the next ``run()``/``step()``.)
-
-        With a JIT engine installed (``repro.jit.install_jit``) and
-        eligible to run — no tracer, profile, or transfer log attached —
-        execution is delegated to compiled blocks instead; meters and
-        state are bit-identical either way.
+        Execution goes through :meth:`_execute`, the one run loop that
+        scheduler time slices enter too and of which :meth:`step` is
+        the one-instruction case.  With a JIT engine installed
+        (``repro.jit.install_jit``) and eligible — no tracer, profile,
+        or transfer log attached — the loop runs compiled blocks; meters
+        and state are bit-identical either way.
         """
-        engine = self.engine
-        if engine is not None and engine.active():
-            return engine.run(max_steps)
         limit = self.config.step_limit
         ceiling = limit if max_steps is None else min(limit, self.steps + max_steps)
+        if self._execute(ceiling):
+            raise StepLimitExceeded(max_steps if ceiling < limit else limit)
+        return self.results()
 
+    def _execute(self, ceiling: int) -> bool:
+        """Run until halt, a yield request, or *ceiling* total steps, on
+        the engine when it is active; True when stopped at the ceiling."""
+        engine = self.engine
+        if engine is not None and engine.active():
+            return engine.run(ceiling)
+        return self._interpret(ceiling)
+
+    def _interpret(self, ceiling: int) -> bool:
+        """The fused interpreter loop behind :meth:`_execute`.  A hook
+        installed mid-loop by a trap handler — e.g. ``enable_profile`` —
+        takes effect on the next entry."""
         # Hoisted hot-path state.  The code buffer is a live bytearray
         # (growing it preserves identity), so holding it is safe; epoch
         # changes are still checked every iteration.  The per-step DECODE
@@ -267,9 +280,7 @@ class Machine:
 
         while not self.halted:
             if self.steps >= ceiling:
-                raise StepLimitExceeded(
-                    max_steps if ceiling < limit else limit
-                )
+                return True
             if self._code_epoch != code.epoch:
                 self.invalidate_linkage()  # clears in place; locals stay valid
             pc = self.pc
@@ -299,7 +310,7 @@ class Machine:
                 self._surface_trap(TrapKind.STORAGE_FAULT, str(fault))
             if self.yield_requested:
                 break
-        return self.results()
+        return False
 
     def call(self, module: str, proc: str, *args: int) -> list[int]:
         """Convenience: start + run; returns the (signed) result values."""
@@ -311,39 +322,15 @@ class Machine:
         return [to_signed(word) for word in self.stack.contents()]
 
     def step(self) -> None:
-        """Fetch, decode, and execute one instruction."""
+        """Fetch, decode, and execute one instruction on the interpreter.
+
+        The one-instruction case of the run loop; it never enters the
+        JIT engine (whose deoptimization primitive it is) and ignores
+        ``config.step_limit``.
+        """
         if self.halted:
             raise MachineHalted("step() on a halted machine")
-        if self._code_epoch != self.code.epoch:
-            self.invalidate_linkage()
-        pair = self._decode_cache.get(self.pc)
-        if pair is None:
-            instruction = decode(self.code.buffer, self.pc)
-            pair = (
-                instruction,
-                self._dispatch[instruction.op],
-                self.pc + instruction.length,
-            )
-            self._decode_cache[self.pc] = pair
-        instruction, handler, next_pc = pair
-        self.counter.record(Event.DECODE)
-        self.steps += 1
-        if self.profile is not None:
-            self.profile[instruction.op] = self.profile.get(instruction.op, 0) + 1
-        tracer = self.tracer
-        if tracer is not None and getattr(tracer, "trace_steps", False):
-            tracer.emit("machine.step", instruction.op.name, pc=self.pc)
-        self.pc = next_pc
-        try:
-            handler(instruction, next_pc)
-        except TrapTransfer:
-            pass  # control is already in the trap context
-        except EvalStackOverflow as fault:
-            self._surface_trap(TrapKind.STACK_OVERFLOW, str(fault))
-        except HeapExhausted as fault:
-            self._surface_trap(TrapKind.RESOURCE_EXHAUSTED, str(fault))
-        except (AllocationError, MemoryFault) as fault:
-            self._surface_trap(TrapKind.STORAGE_FAULT, str(fault))
+        self._interpret(self.steps + 1)
 
     def _surface_trap(self, kind: TrapKind, detail: str) -> None:
         """Convert a host-level fault into a modelled trap.
@@ -1041,6 +1028,8 @@ class Machine:
         of the quotient.
         """
         self.trap_count += 1
+        if self.trap_ceiling is not None and self.trap_count > self.trap_ceiling:
+            self.yield_requested = True
         if self.tracer is not None:
             self.tracer.emit(
                 "xfer.trap",

@@ -94,8 +94,9 @@ class Scheduler:
     Parameters
     ----------
     machine:
-        The machine to schedule on.  The scheduler takes over its run
-        loop; use :meth:`run` instead of ``machine.run``.
+        The machine to schedule on.  The scheduler drives its run loop
+        one time slice at a time; use :meth:`run` instead of
+        ``machine.run``.
     quantum:
         Instructions per time slice; 0 disables preemption (switches
         happen only on YIELD and process completion).
@@ -113,11 +114,8 @@ class Scheduler:
         self.current: Process | None = None
         self.stats = SwitchStats()
         self._rotor = 0  # round-robin position
-        #: pids excluded from dispatch (a migration is quiescing them).
-        #: A held RUNNING process is forced out at its next step boundary
-        #: — the same boundary the JIT deoptimizes at, so the hold works
-        #: identically under ``--engine jit``.
-        self.held: set[int] = set()
+        #: ``machine.steps`` when the running slice began.
+        self._slice_start = 0
 
     def spawn(self, module: str, proc: str, *args: int) -> Process:
         """Create a READY process running ``module.proc(*args)``."""
@@ -127,25 +125,21 @@ class Scheduler:
         self.processes.append(process)
         return process
 
-    def hold(self, pid: int) -> None:
-        """Quiesce *pid*: skip it in dispatch, force it out at the next
-        step boundary if it is currently running.  Used by live migration
-        (:mod:`repro.net.migrate`) to pin a process's state vector into
-        its process record without waiting for it to block on its own."""
-        self.held.add(pid)
-
-    def release(self, pid: int) -> None:
-        """Lift a :meth:`hold`; the process re-enters the rotation."""
-        self.held.discard(pid)
-
     def run(self, max_steps: int | None = None) -> list[Process]:
         """Run until no process is READY; returns them with results.
 
         *max_steps* defaults to ``config.scheduler_max_steps`` — one
-        knob shared by serving loops and tests.  The loop also returns
-        (rather than spinning) when every remaining process is BLOCKED
-        on a remote reply; the caller (a :class:`repro.net` shard pump)
-        delivers replies and calls :meth:`run` again.
+        knob shared by serving loops and tests; the step after it raises
+        :class:`~repro.errors.StepLimitExceeded`.  ``config.step_limit``
+        does not apply, so a long-lived shard runs past it.  The loop
+        also returns (rather than spinning) when every remaining process
+        is BLOCKED on a remote reply; the caller (a :class:`repro.net`
+        shard pump) delivers replies and calls :meth:`run` again.
+
+        A time slice is one call into the machine's run loop (the JIT
+        engine when one is installed) up to the next quantum boundary.
+        Halt, YIELD, a remote block, an unhandled trap, or the trap that
+        breaks the quota ends it at exactly that step.
         """
         if max_steps is None:
             max_steps = self.machine.config.scheduler_max_steps
@@ -158,41 +152,46 @@ class Scheduler:
                 if process is None:
                     break
                 self._switch_in(process)
-                slice_traps = 0
-                while not machine.halted and self.current is process:
-                    traps_before = machine.trap_count
-                    try:
-                        machine.step()
-                    except TrapError as fault:
-                        self._quarantine(
-                            process,
-                            trap=fault.trap,
-                            pc=fault.pc,
-                            proc=fault.proc,
-                            detail=fault.detail,
+                first_trap = machine.trap_count
+                if self.trap_quota:
+                    machine.trap_ceiling = first_trap + self.trap_quota
+                while self.current is process:
+                    ceiling = machine.steps + max_steps + 1 - total
+                    if self.quantum:
+                        ceiling = min(
+                            ceiling,
+                            machine.steps + self.quantum - process.steps % self.quantum,
                         )
-                        break
-                    process.steps += 1
-                    total += 1
+                    start = self._slice_start = machine.steps
+                    traps = machine.trap_count
+                    fault = None
+                    try:
+                        machine._execute(ceiling)
+                    except TrapError as error:
+                        fault = error
+                    # An unhandled trap's step, and the trap, are not charged.
+                    uncharged = fault is not None
+                    ran = machine.steps - start - uncharged
+                    process.steps += ran
+                    process.traps += machine.trap_count - traps - uncharged
+                    total += ran
                     if total > max_steps:
                         raise StepLimitExceeded(max_steps)
-                    slice_traps += machine.trap_count - traps_before
-                    process.traps += machine.trap_count - traps_before
-                    if self.trap_quota and slice_traps > self.trap_quota:
+                    slice_traps = machine.trap_count - first_trap
+                    if fault is not None:
                         self._quarantine(
-                            process,
-                            trap="trap_storm",
-                            pc=machine.pc,
-                            proc=process.proc,
-                            detail=(
-                                f"{slice_traps} traps in one slice "
-                                f"(quota {self.trap_quota})"
-                            ),
+                            process, fault.trap, fault.pc, fault.proc, fault.detail
                         )
-                        break
-                    if machine.halted or self.current is not process:
-                        break  # the step completed the process
-                    if machine.yield_requested:
+                    elif self.trap_quota and slice_traps > self.trap_quota:
+                        detail = f"{slice_traps} traps in one slice (quota {self.trap_quota})"
+                        self._quarantine(
+                            process, "trap_storm", machine.pc, process.proc, detail
+                        )
+                    elif machine.halted:
+                        # _on_halt marked it DONE and captured results.
+                        machine.halted = False
+                        self.current = None
+                    elif machine.yield_requested:
                         machine.yield_requested = False
                         pending = machine.remote_pending
                         if pending is not None:
@@ -201,21 +200,13 @@ class Scheduler:
                         else:
                             self.stats.yields += 1
                             self._switch_out(process, reason="yield")
-                        break
-                    if self.held and process.pid in self.held:
-                        self._switch_out(process, reason="hold")
-                        break
-                    if self.quantum and process.steps % self.quantum == 0:
-                        if self._another_ready(process):
-                            self.stats.preemptions += 1
-                            self._switch_out(process, reason="preempt")
-                            break
-                if machine.halted and self.current is process:
-                    # _on_halt marked it DONE and captured results.
-                    machine.halted = False
-                    self.current = None
+                    elif self._another_ready(process):
+                        # At a quantum boundary (the budget raised above).
+                        self.stats.preemptions += 1
+                        self._switch_out(process, reason="preempt")
         finally:
             machine.on_halt = None
+            machine.trap_ceiling = None
             machine.halted = True
         return self.processes
 
@@ -226,7 +217,7 @@ class Scheduler:
         count = len(self.processes)
         for offset in range(count):
             process = self.processes[(self._rotor + offset) % count]
-            if process.status is ProcessStatus.READY and process.pid not in self.held:
+            if process.status is ProcessStatus.READY:
                 self._rotor = (process.pid + 1) % count
                 return process
         return None
@@ -453,7 +444,8 @@ class Scheduler:
                 f"p{process.pid}",
                 pid=process.pid,
                 proc=f"{process.module}.{process.proc}",
-                steps=process.steps,
+                # Emitted inside the halting step, before it is charged.
+                steps=process.steps + machine.steps - self._slice_start - 1,
                 results=list(process.results),
             )
         if machine.banks is not None:

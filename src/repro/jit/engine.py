@@ -3,9 +3,10 @@
 ``install_jit(machine)`` verifies the image (or validates a supplied
 ``repro-facts/1`` artifact against it), compiles every verified
 procedure's basic blocks, and installs itself on the machine.
-``Machine.run`` then delegates to :meth:`JitEngine.run` whenever the
-engine is *active* — no tracer, profiler, or transfer log attached —
-and the engine direct-threads compiled blocks, falling back to
+The machine's run loop — ``Machine.run`` and every scheduler time
+slice — then delegates to :meth:`JitEngine.run` whenever the engine is
+*active* — no tracer, profiler, or transfer log attached — and the
+engine direct-threads compiled blocks, falling back to
 interpreter single-steps at every deoptimization point.  Meters,
 memory, traffic, and statistics are bit-identical to the interpreter
 at every observable boundary.
@@ -21,7 +22,6 @@ from repro.errors import (
     EvalStackOverflow,
     HeapExhausted,
     MemoryFault,
-    StepLimitExceeded,
 )
 from repro.interp.traps import TrapKind, TrapTransfer
 from repro.machine.costs import Event
@@ -201,11 +201,15 @@ class JitEngine:
         m = self.machine
         return m.tracer is None and m.profile is None and m.transfer_log is None
 
-    def run(self, max_steps: int | None = None):
-        """Mirror ``Machine.run`` semantics over compiled blocks."""
+    def run(self, ceiling: int) -> bool:
+        """The run loop over compiled blocks (``Machine._execute``).
+
+        Runs until halt, a yield request, or *ceiling* total steps, and
+        returns True when it stopped at the ceiling — the same contract
+        as the interpreter loop, which the caller turns into a
+        ``StepLimitExceeded`` or the end of a time slice.
+        """
         m = self.machine
-        limit = m.config.step_limit
-        ceiling = limit if max_steps is None else min(limit, m.steps + max_steps)
         cache = self.cache
         blocks = cache.blocks
         code = m.code
@@ -213,7 +217,7 @@ class JitEngine:
 
         while not m.halted:
             if m.steps >= ceiling:
-                raise StepLimitExceeded(max_steps if ceiling < limit else limit)
+                return True
             if m._code_epoch != code.epoch:
                 m.invalidate_linkage()  # notifies the code cache too
             if not cache.ready:
@@ -222,12 +226,10 @@ class JitEngine:
                 # An observer was attached mid-run (a trap handler
                 # enabling tracing): hand the rest to the interpreter.
                 stats.observer_bailouts += 1
-                if max_steps is None or ceiling >= limit:
-                    return m.run(None)
-                return m.run(ceiling - m.steps)
+                return m._interpret(ceiling)
             pair = blocks.get(m.pc)
             if pair is None or m.steps + pair[1] > ceiling:
-                self._interp_until_block(ceiling, max_steps, limit)
+                self._interp_until_block(ceiling)
             else:
                 fn = pair[0]
                 result = fn(m)
@@ -238,12 +240,12 @@ class JitEngine:
                     result = pair[0](m)
                 if result == -2:
                     stats.deopts += 1
-                    self._interp_until_block(ceiling, max_steps, limit)
+                    self._interp_until_block(ceiling)
             if m.yield_requested:
                 break
-        return m.results()
+        return False
 
-    def _interp_until_block(self, ceiling: int, max_steps, limit: int) -> None:
+    def _interp_until_block(self, ceiling: int) -> None:
         """Single-step the interpreter until a compiled block boundary.
 
         Always steps at least once (a deopt pc may itself be a block
@@ -252,11 +254,7 @@ class JitEngine:
         m = self.machine
         blocks = self.cache.blocks
         stats = self.stats
-        while True:
-            if m.halted or m.yield_requested:
-                return
-            if m.steps >= ceiling:
-                raise StepLimitExceeded(max_steps if ceiling < limit else limit)
+        while not (m.halted or m.yield_requested or m.steps >= ceiling):
             m.step()
             stats.deopt_steps += 1
             if m.pc in blocks:

@@ -87,8 +87,9 @@ def build_shard_machine(
 
     Identical inputs produce an identical image on every shard — the
     property the handshake checks and Remote XFER relies on.
-    ``engine="jit"`` compiles the shard's procedures up front; remote
-    stubs stay on the interpreter's slow path by the deopt contract, so
+    ``engine="jit"`` compiles the shard's procedures up front, and the
+    scheduler's time slices run on the compiled blocks.  Calls still
+    take the interpreter's handler, where the remote stub sees them, so
     the wire protocol and meters are unchanged.
     """
     from repro.lang.compiler import CompileOptions, compile_program
@@ -285,11 +286,12 @@ class Cluster:
         """Move a ticket's process to shard *dst* between pump ticks.
 
         Quiesces nothing itself: call between ticks (``pump_tick``
-        returns, or before the first ``pump``), when every live process
-        sits at a block boundary.  To migrate a process that would
-        otherwise run to completion inside one tick, ``hold`` its pid on
-        the source scheduler before pumping, migrate, then the adoption
-        resumes it on the target.  Updates the ticket in place so
+        returns, or before the first ``pump``), when no scheduler is
+        mid-slice and the process is READY or BLOCKED on a remote
+        reply.  A process that runs to completion inside one tick
+        cannot be moved: each time slice is one call into the machine's
+        run loop (the JIT engine under ``engine="jit"``), which returns
+        only at the slice's end.  Updates the ticket in place so
         completion tracking follows the process to its new home.
         """
         from repro.net.migrate import (
@@ -319,7 +321,6 @@ class Cluster:
             # bookkeeping and tombstones so the refusal is invisible.
             reattach(source, process, slice_, now=self.ticks)
             raise
-        source.scheduler.release(process.pid)
         source.remove_process(process)
         ticket.process = adopted
         ticket.shard_id = dst

@@ -4,8 +4,9 @@ The paper's thesis makes this almost inevitable: a process switch is
 just another XFER, a Remote XFER already stretches one across shards,
 and ``repro-snapshot/2`` already serializes a process blocked on a
 remote reply.  Migration composes the two.  A process is **quiesced**
-at a block boundary — between ``step()`` calls, exactly where the JIT
-deoptimizes, so the same boundary exists under ``--engine jit`` — its
+at a block boundary — between time slices, where every live process
+is READY or BLOCKED and its state vector sits in its process record,
+on either engine — its
 state is **extracted** into a ``repro-migrate/1`` slice on the source
 shard, **adopted** on the target, and the source keeps *tombstones*:
 a forwarding entry per outstanding request, so the reply (or a late
@@ -57,10 +58,10 @@ from repro.net.shard import Shard
 #: The slice schema this module writes and the only one it adopts.
 MIGRATE_SCHEMA = "repro-migrate/1"
 
-#: Process states a migration can quiesce: READY (held out of the
-#: rotation) or BLOCKED on a remote reply.  RUNNING is reached by
-#: holding first (:meth:`repro.interp.processes.Scheduler.hold`) and
-#: letting the scheduler force the process out at its step boundary.
+#: Process states a migration can move: READY (submitted or unblocked
+#: but not yet run) or BLOCKED on a remote reply.  A RUNNING process
+#: is mid-slice and never migrates: a slice is one call into the run
+#: loop, so the scheduler only regains control at its end.
 _MIGRATABLE = (ProcessStatus.READY, ProcessStatus.BLOCKED)
 
 
@@ -87,8 +88,8 @@ def extract(shard: Shard, process: Process, dst: int, mode: str = "exclusive") -
     scheduler = shard.scheduler
     if scheduler.current is not None:
         raise MigrateError(
-            "cannot extract mid-slice: quiesce the process at a block "
-            "boundary first (hold it and pump to quiescence)"
+            "cannot extract mid-slice: migrate between pump ticks, when "
+            "the process is READY or BLOCKED"
         )
     if process.status not in _MIGRATABLE:
         raise MigrateError(
@@ -418,7 +419,6 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
     adopted.pid = 0
     scheduler.processes = [adopted]
     scheduler._rotor = 0
-    scheduler.held.clear()
     shard._spans.clear()
     return adopted
 

@@ -458,7 +458,6 @@ class Shard:
         now belong to the adopter); the arena wears the scar, which is
         bounded by one frame chain per migration.
         """
-        self.scheduler.held.discard(process.pid)
         keep = [p for p in self.scheduler.processes if p is not process]
         spans: dict[int, str] = {}
         for index, survivor in enumerate(keep):

@@ -247,6 +247,30 @@ def test_trap_storm_hits_the_quota():
     assert scheduler.stats.quarantines == 1
 
 
+@pytest.mark.parametrize("engine", ("interp", "jit"))
+@pytest.mark.parametrize("quantum", (0, 200))
+def test_trap_storm_quota_is_exact(quantum, engine):
+    """The quota ends the slice on the very step of the sixth trap, even
+    with quantum 0, where the slice has no natural end; on either
+    engine the stormer's steps, traps and fault pc are the same."""
+    machine = build(MIXED, preset="i2")
+    if engine == "jit":
+        from repro.jit import install_jit
+
+        install_jit(machine)
+    machine.trap_handlers[TrapKind.DIVIDE_BY_ZERO] = lambda m, kind, detail: None
+    scheduler = Scheduler(machine, quantum=quantum, trap_quota=5)
+    stormer = scheduler.spawn("Main", "storm", 50)
+    good = scheduler.spawn("Main", "worker", 7, 2)
+    scheduler.run()
+    assert stormer.status is ProcessStatus.FAULTED
+    assert stormer.fault["trap"] == "trap_storm"
+    assert stormer.fault["detail"] == "6 traps in one slice (quota 5)"
+    assert (stormer.steps, stormer.traps, stormer.fault["pc"]) == (99, 6, 56)
+    assert good.results == [7]
+    assert machine.steps == 137
+
+
 def test_quarantine_emits_sched_fault_event():
     from repro.obs import TraceRecorder
 
