@@ -1005,78 +1005,34 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _net_chaos(args: argparse.Namespace) -> int:
-    """``chaos --net``: the transport-fault sweep over a split cluster."""
-    from repro.net.chaos import (
-        MIGRATION_PLANS,
-        NET_PLANS,
-        run_net_chaos,
-        run_net_chaos_process,
-        run_net_migration_chaos,
-    )
+def cmd_chaos(args: argparse.Namespace) -> int:
+    """Replay one chaos family's seeded fault plans across I1-I4."""
+    from repro.faults.chaos import MACHINE, ChaosError
 
-    if args.migrate:
-        if args.processes:
+    family = MACHINE
+    if args.net:
+        from repro.net.chaos import MIGRATE, NET, PROCESS
+
+        if args.migrate and args.processes:
             print("chaos: --migrate races the in-process pump; drop "
                   "--processes", file=sys.stderr)
             return 2
-        plans = tuple(args.plans) if args.plans else MIGRATION_PLANS
-        unknown = [name for name in plans if name not in MIGRATION_PLANS]
-        if unknown:
-            print(f"chaos: plans {unknown} do not combine with --migrate "
-                  f"(canned: {', '.join(MIGRATION_PLANS)})", file=sys.stderr)
+        if args.programs:
+            print("chaos: --net always runs the pinned mathlib split; drop "
+                  "--programs", file=sys.stderr)
             return 2
-        report = run_net_migration_chaos(plans=plans, seeds=args.seeds)
-        print(report.summary())
-        if args.report:
-            Path(args.report).write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n"
-            )
-            print(f"report written to {args.report}")
-        return 0 if report.ok else 1
-    plans = tuple(args.plans) if args.plans else tuple(NET_PLANS)
-    unknown = [name for name in plans if name not in NET_PLANS]
-    if unknown:
-        print(f"chaos: unknown net plans {unknown} "
-              f"(canned: {', '.join(NET_PLANS)})", file=sys.stderr)
+        family = MIGRATE if args.migrate else PROCESS if args.processes else NET
+    elif args.processes or args.migrate:
+        flag = "--processes" if args.processes else "--migrate"
+        print(f"chaos: {flag} requires --net", file=sys.stderr)
         return 2
-    if args.processes:
-        report = run_net_chaos_process(plans=plans, seeds=args.seeds)
-    else:
-        report = run_net_chaos(plans=plans, seeds=args.seeds)
-    print(report.summary())
-    if args.report:
-        Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"report written to {args.report}")
-    return 0 if report.ok else 1
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Replay seeded fault plans across I1-I4; fail on any divergence."""
-    from repro.faults.chaos import CANNED_PLANS, DEFAULT_PROGRAMS, run_chaos
-    from repro.workloads.programs import CORPUS
-
-    if args.net:
-        return _net_chaos(args)
-    if args.processes:
-        print("chaos: --processes requires --net", file=sys.stderr)
+    try:
+        report = family.sweep(programs=tuple(args.programs or ()),
+                              seeds=args.seeds, plans=tuple(args.plans or ()),
+                              engine=args.engine)
+    except ChaosError as err:
+        print(f"chaos: {err}", file=sys.stderr)
         return 2
-    if args.migrate:
-        print("chaos: --migrate requires --net", file=sys.stderr)
-        return 2
-    programs = tuple(args.programs) if args.programs else DEFAULT_PROGRAMS
-    unknown = [name for name in programs if name not in CORPUS]
-    if unknown:
-        print(f"chaos: unknown corpus programs {unknown}", file=sys.stderr)
-        return 2
-    plans = tuple(args.plans) if args.plans else tuple(CANNED_PLANS)
-    unknown = [name for name in plans if name not in CANNED_PLANS]
-    if unknown:
-        print(f"chaos: unknown plans {unknown} "
-              f"(canned: {', '.join(CANNED_PLANS)})", file=sys.stderr)
-        return 2
-    report = run_chaos(programs=programs, seeds=args.seeds, plans=plans,
-                       engine=args.engine)
     print(report.summary())
     if args.report:
         Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")

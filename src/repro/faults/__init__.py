@@ -20,11 +20,15 @@ checks that the implementations never diverge:
   return stack, process table, counters, pending traps).  ``capture``
   then ``restore`` onto a freshly linked image resumes a run that is
   bit-identical to an uninterrupted one on all modelled meters.
-* :mod:`repro.faults.chaos` — the conformance harness: replay seeded
-  fault plans across I1-I4 over the corpus and assert every run
-  **recovers**, **traps** cleanly with exact (kind, pc, proc)
-  diagnostics, or **resumes** from its last snapshot — and that the
-  implementations never disagree on the outcome class.
+* :mod:`repro.faults.chaos` — the one chaos engine: replay seeded
+  fault plans across I1-I4 and assert every run **recovers**, **traps**
+  cleanly with exact diagnostics, or **resumes** from its last
+  snapshot — and that the implementations never disagree on the
+  outcome class.  A :class:`~repro.faults.chaos.Family` supplies the
+  plans, the case runner, the report schema and the contract:
+  ``MACHINE`` here (corpus programs on one machine), and the ``NET``,
+  ``MIGRATE`` and ``PROCESS`` transport-fault families in
+  :mod:`repro.net.chaos`.
 
 See ``docs/faults.md`` for the fault taxonomy and the snapshot schema
 versioning policy.
@@ -32,7 +36,9 @@ versioning policy.
 
 from repro.faults.chaos import (
     CANNED_PLANS,
+    MACHINE,
     ChaosReport,
+    Family,
     Outcome,
     OutcomeClass,
     run_case,
@@ -60,9 +66,11 @@ __all__ = [
     "CANNED_PLANS",
     "CONTROL_ACTIONS",
     "ChaosReport",
+    "Family",
     "FaultInjector",
     "FaultPlan",
     "Injection",
+    "MACHINE",
     "Outcome",
     "OutcomeClass",
     "SNAPSHOT_SCHEMA",

@@ -1,38 +1,41 @@
-"""The chaos conformance harness: seeded fault plans across I1-I4.
+"""The chaos engine: seeded fault plans swept across I1-I4.
 
 The paper's central promise is that I1-I4 are four implementations of
 *one* machine: same programs, same answers, different costs.  That
 promise must also hold under duress — an exhausted arena, a drained
-free list, a flush storm, an injected trap, a kill-and-restore — or
-the ladder's differential measurements mean nothing.  This harness
-replays seeded :class:`~repro.faults.plan.FaultPlan` schedules over the
-corpus on every implementation and classifies each run:
+free list, a flush storm, an injected trap, a kill-and-restore, a frame
+lost on the wire — or the ladder's differential measurements mean
+nothing.  The engine replays seeded
+:class:`~repro.faults.plan.FaultPlan` schedules on every implementation
+and classifies each run:
 
 ``RECOVERED``
-    The machine absorbed the fault and finished with the program's
+    The run absorbed the fault and finished with the program's
     expected results (the section 5.3 software allocator refilled a
     drained list; the section 7.1 fallback flushed and refilled).
 ``TRAPPED``
-    The run surfaced a modelled trap cleanly — a
-    :class:`~repro.errors.TrapError` with exact (kind, pc, proc)
-    diagnostics — never a host exception from inside the interpreter.
+    The run surfaced a modelled trap cleanly, with a kind and a detail,
+    never a host exception from inside the interpreter.
 ``RESUMED``
     The machine was killed after a snapshot, restored onto a freshly
     linked image, and finished with expected results and modelled
     meters **bit-identical** to an uninterrupted reference run.
 
-Conformance: for every seed x plan x program, all implementations must
-land in the same outcome class (and on the same trap kind when
-TRAPPED).  PCs and procedure names are asserted *valid* per
-implementation, not equal across them — the four encodings place
-instructions differently by design.
+A :class:`Family` supplies the plan table, the case runner, the report
+schema and the contract; the sweep loop and the conformance check are
+shared.  This module defines :data:`MACHINE`; :mod:`repro.net.chaos`
+the transport-fault families.  PCs and procedure names are asserted
+*valid* per implementation, not equal across them.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import TrapError
 from repro.faults.inject import FaultInjector
@@ -63,7 +66,7 @@ MAX_RESTORES = 3
 _RECURSIVE = frozenset({"fib", "ackermann", "queens"})
 
 
-class OutcomeClass(enum.Enum):
+class OutcomeClass(str, enum.Enum):
     RECOVERED = "recovered"
     TRAPPED = "trapped"
     RESUMED = "resumed"
@@ -71,7 +74,9 @@ class OutcomeClass(enum.Enum):
 
 @dataclass
 class Outcome:
-    """How one (program, implementation, plan) run ended."""
+    """How one (program, implementation, plan) run ended, in any family:
+    a cluster run fills ``ticks`` and ``wire`` where a machine run fills
+    ``steps`` and ``restores``."""
 
     klass: OutcomeClass
     trap: str = ""
@@ -81,22 +86,17 @@ class Outcome:
     results: list[int] = field(default_factory=list)
     output: list[int] = field(default_factory=list)
     steps: int = 0
+    ticks: int = 0
     meters: dict = field(default_factory=dict)
     restores: int = 0
     injections_fired: int = 0
+    wire: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "class": self.klass.value,
-            "trap": self.trap,
-            "pc": self.pc,
-            "proc": self.proc,
-            "detail": self.detail,
-            "results": list(self.results),
-            "steps": self.steps,
-            "restores": self.restores,
-            "injections_fired": self.injections_fired,
-        }
+        """Every field but the raw meters and output."""
+        doc = asdict(self)
+        del doc["meters"], doc["output"]
+        return {"class": doc.pop("klass").value, **doc}
 
 
 class ChaosError(Exception):
@@ -136,8 +136,6 @@ class _EventCounter:
 class Reference:
     """An uninterrupted run of (program, preset): the oracle."""
 
-    results: list[int]
-    output: list[int]
     steps: int
     meters: dict
     event_counts: dict[str, int]
@@ -149,10 +147,8 @@ def reference_run(program: Program, preset: str) -> Reference:
     counter = _EventCounter()
     machine.attach_tracer(counter)
     machine.start(program.entry[0], program.entry[1], *program.args)
-    results = machine.run()
+    machine.run()
     return Reference(
-        results=results,
-        output=list(machine.output),
         steps=machine.steps,
         meters=machine.counter.snapshot(),
         event_counts=dict(counter.counts),
@@ -165,8 +161,8 @@ def reference_run(program: Program, preset: str) -> Reference:
 #
 # Each generator gets the program, the per-preset references (for
 # sizing triggers so they fire on *every* implementation), and a seeded
-# RNG; it returns a FaultPlan, or None when the plan does not apply to
-# this program (e.g. too few allocations to target).
+# RNG; it returns the plan's injections, or None when the plan does not
+# apply to this program (e.g. too few allocations to target).
 
 
 def _min_event(refs: dict[str, Reference], kind: str) -> int:
@@ -177,21 +173,17 @@ def _min_steps(refs: dict[str, Reference]) -> int:
     return min(ref.steps for ref in refs.values())
 
 
-def _plan_av_empty(program, refs, rng) -> FaultPlan | None:
+def _plan_av_empty(program, refs, rng) -> tuple[Injection, ...] | None:
     """Drain every AV free list on the k-th allocation; the next one
     takes the section 5.3 software-allocator trap and the run recovers."""
     ceiling = _min_event(refs, "alloc.frame")
     if ceiling < 1:
         return None
     k = rng.randint(1, ceiling)
-    return FaultPlan(
-        name="av_empty",
-        seed=0,
-        injections=(Injection(on_event("alloc.frame", k), "drain_av"),),
-    )
+    return (Injection(on_event("alloc.frame", k), "drain_av"),)
 
 
-def _plan_heap_exhaust(program, refs, rng) -> FaultPlan | None:
+def _plan_heap_exhaust(program, refs, rng) -> tuple[Injection, ...] | None:
     """Empty the frame arena at machine start; the first allocation must
     surface RESOURCE_EXHAUSTED on every implementation.
 
@@ -204,14 +196,10 @@ def _plan_heap_exhaust(program, refs, rng) -> FaultPlan | None:
     """
     if program.name not in _RECURSIVE:
         return None
-    return FaultPlan(
-        name="heap_exhaust",
-        seed=0,
-        injections=(Injection(on_event("machine.begin", 1), "exhaust_heap"),),
-    )
+    return (Injection(on_event("machine.begin", 1), "exhaust_heap"),)
 
 
-def _plan_spill_storm(program, refs, rng) -> FaultPlan | None:
+def _plan_spill_storm(program, refs, rng) -> tuple[Injection, ...] | None:
     """Force return-stack and bank flushes at three seeded call points;
     I3/I4 must fall back to the general scheme and still finish right
     (on I1/I2 the actions are no-ops and the run is undisturbed)."""
@@ -219,18 +207,14 @@ def _plan_spill_storm(program, refs, rng) -> FaultPlan | None:
     if calls < 3:
         return None
     k = rng.randint(1, calls // 3)
-    return FaultPlan(
-        name="spill_storm",
-        seed=0,
-        injections=(
-            Injection(on_event("xfer.call", k), "flush_rstack"),
-            Injection(on_event("xfer.call", 2 * k), "flush_banks"),
-            Injection(on_event("xfer.call", 3 * k), "flush_rstack"),
-        ),
+    return (
+        Injection(on_event("xfer.call", k), "flush_rstack"),
+        Injection(on_event("xfer.call", 2 * k), "flush_banks"),
+        Injection(on_event("xfer.call", 3 * k), "flush_rstack"),
     )
 
 
-def _plan_kill_resume(program, refs, rng) -> FaultPlan | None:
+def _plan_kill_resume(program, refs, rng) -> tuple[Injection, ...] | None:
     """Snapshot at step S1, kill at step S2: the driver restores the
     snapshot onto a fresh image and the finished run must be
     bit-identical to the uninterrupted reference on all meters."""
@@ -239,17 +223,13 @@ def _plan_kill_resume(program, refs, rng) -> FaultPlan | None:
         return None
     s1 = rng.randint(1, steps // 2)
     s2 = rng.randint(s1 + 1, steps - 1)
-    return FaultPlan(
-        name="kill_resume",
-        seed=0,
-        injections=(
-            Injection(at_step(s1), "snapshot"),
-            Injection(at_step(s2), "kill"),
-        ),
+    return (
+        Injection(at_step(s1), "snapshot"),
+        Injection(at_step(s2), "kill"),
     )
 
 
-def _plan_trap_inject(program, refs, rng) -> FaultPlan | None:
+def _plan_trap_inject(program, refs, rng) -> tuple[Injection, ...] | None:
     """Dispatch a DIVIDE_BY_ZERO trap at a seeded step; with no trap
     context registered every implementation must surface the same
     TrapError kind with valid (pc, proc) diagnostics."""
@@ -257,11 +237,7 @@ def _plan_trap_inject(program, refs, rng) -> FaultPlan | None:
     if steps < 2:
         return None
     s = rng.randint(1, steps - 1)
-    return FaultPlan(
-        name="trap_inject",
-        seed=0,
-        injections=(Injection(at_step(s), "trap", detail="divide_by_zero"),),
-    )
+    return (Injection(at_step(s), "trap", detail="divide_by_zero"),)
 
 
 CANNED_PLANS = {
@@ -281,10 +257,10 @@ def make_plan(
     same plan — triggers are sized from the references, which are a
     pure function of program and preset."""
     rng = random.Random(f"{name}:{program.name}:{seed}")
-    plan = CANNED_PLANS[name](program, refs, rng)
-    if plan is None:
+    injections = CANNED_PLANS[name](program, refs, rng)
+    if injections is None:
         return None
-    return FaultPlan(name=plan.name, seed=seed, injections=plan.injections)
+    return FaultPlan(name=name, seed=seed, injections=injections)
 
 
 # ---------------------------------------------------------------------------
@@ -316,80 +292,64 @@ def run_case(
     restores = 0
     fired = 0
 
-    while True:
-        try:
+    try:
+        while True:
             machine.run()
-        except TrapError as err:
-            return Outcome(
-                klass=OutcomeClass.TRAPPED,
-                trap=err.trap,
-                pc=err.pc,
-                proc=err.proc,
-                detail=err.detail,
-                steps=machine.steps,
-                meters=machine.counter.snapshot(),
-                restores=restores,
-                injections_fired=fired + len(injector.fired),
-            )
-        if machine.halted:
-            return Outcome(
-                klass=(
-                    OutcomeClass.RESUMED if restores else OutcomeClass.RECOVERED
-                ),
-                results=machine.results(),
-                output=list(machine.output),
-                steps=machine.steps,
-                meters=machine.counter.snapshot(),
-                restores=restores,
-                injections_fired=fired + len(injector.fired),
-            )
-        # The injector broke the loop for a control action.
-        machine.yield_requested = False
-        for index, injection in injector.take_pending():
-            if injection.action == "snapshot":
-                saved = (capture(machine), injector.state())
-            elif injection.action == "kill":
-                if saved is None:
-                    raise ChaosError(
-                        f"plan {plan.name!r} kills at injection {index} "
-                        f"with no prior snapshot"
-                    )
-                if restores >= MAX_RESTORES:
-                    raise ChaosError(
-                        f"plan {plan.name!r} exceeded {MAX_RESTORES} restores"
-                    )
-                fired += len(injector.fired)
-                machine_state, injector_state = saved
-                machine = _build(program, preset, engine)
-                injector = FaultInjector(plan, state=injector_state)
-                # The kill already happened; it must not fire again in
-                # the restored run.
-                injector.disarm(index)
-                machine.attach_tracer(injector)
-                restore(machine, machine_state)
-                restores += 1
-                break  # stale pending actions died with the old machine
-            elif injection.action == "trap":
-                try:
-                    machine.trap(TrapKind(injection.detail), "injected")
-                except TrapTransfer:
-                    pass
-                except TrapError as err:
-                    return Outcome(
-                        klass=OutcomeClass.TRAPPED,
-                        trap=err.trap,
-                        pc=err.pc,
-                        proc=err.proc,
-                        detail=err.detail,
-                        steps=machine.steps,
-                        meters=machine.counter.snapshot(),
-                        restores=restores,
-                        injections_fired=fired + len(injector.fired),
-                    )
+            if machine.halted:
+                break
+            # The injector broke the loop for a control action.
+            machine.yield_requested = False
+            for index, injection in injector.take_pending():
+                if injection.action == "snapshot":
+                    saved = (capture(machine), injector.state())
+                elif injection.action == "kill":
+                    if saved is None:
+                        raise ChaosError(
+                            f"plan {plan.name!r} kills at injection {index} "
+                            f"with no prior snapshot"
+                        )
+                    if restores >= MAX_RESTORES:
+                        raise ChaosError(
+                            f"plan {plan.name!r} exceeded {MAX_RESTORES} restores"
+                        )
+                    fired += len(injector.fired)
+                    machine_state, injector_state = saved
+                    machine = _build(program, preset, engine)
+                    injector = FaultInjector(plan, state=injector_state)
+                    # The kill already happened; it must not fire again in
+                    # the restored run.
+                    injector.disarm(index)
+                    machine.attach_tracer(injector)
+                    restore(machine, machine_state)
+                    restores += 1
+                    break  # stale pending actions died with the old machine
+                elif injection.action == "trap":
+                    try:
+                        machine.trap(TrapKind(injection.detail), "injected")
+                    except TrapTransfer:
+                        pass
+        ending = Outcome(
+            OutcomeClass.RESUMED if restores else OutcomeClass.RECOVERED,
+            results=machine.results(),
+            output=list(machine.output),
+        )
+    except TrapError as err:
+        ending = Outcome(
+            OutcomeClass.TRAPPED,
+            trap=err.trap,
+            pc=err.pc,
+            proc=err.proc,
+            detail=err.detail,
+        )
+    ending.steps = machine.steps
+    ending.meters = machine.counter.snapshot()
+    ending.restores = restores
+    ending.injections_fired = fired + len(injector.fired)
+    return ending
 
 
 # ---------------------------------------------------------------------------
-# The conformance sweep
+# The engine: one case type, one report, one sweep loop, one check
 # ---------------------------------------------------------------------------
 
 
@@ -408,19 +368,16 @@ class CaseResult:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "program": self.program,
-            "seed": self.seed,
-            "plan": self.plan,
-            "outcomes": {p: o.to_dict() for p, o in self.outcomes.items()},
-            "failures": list(self.failures),
-        }
+        outcomes = {p: o.to_dict() for p, o in self.outcomes.items()}
+        return {**asdict(self), "outcomes": outcomes}
 
 
 @dataclass
 class ChaosReport:
-    """The full sweep: cases, skips, and the conformance verdict."""
+    """One family's sweep: cases, skips, and the conformance verdict."""
 
+    family: Family
+    presets: tuple[str, ...]
     cases: list[CaseResult] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
 
@@ -430,28 +387,26 @@ class ChaosReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": CHAOS_SCHEMA,
+            "schema": self.family.schema,
             "ok": self.ok,
             "cases": [case.to_dict() for case in self.cases],
             "skipped": list(self.skipped),
         }
 
     def summary(self) -> str:
-        lines = []
         failed = [case for case in self.cases if not case.ok]
-        by_class: dict[str, int] = {}
-        for case in self.cases:
-            for outcome in case.outcomes.values():
-                key = outcome.klass.value
-                by_class[key] = by_class.get(key, 0) + 1
-        lines.append(
-            f"chaos: {len(self.cases)} cases x {len(ALL_PRESETS)} impls, "
-            f"{len(self.skipped)} skipped (plan not applicable)"
+        by_class = Counter(
+            outcome.klass.value
+            for case in self.cases
+            for outcome in case.outcomes.values()
         )
-        lines.append(
+        lines = [
+            f"{self.family.name} chaos: {len(self.cases)} cases x "
+            f"{len(self.presets)} impls, "
+            f"{len(self.skipped)} skipped (plan not applicable)",
             "outcomes: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_class.items()))
-        )
+            + ", ".join(f"{k}={v}" for k, v in sorted(by_class.items())),
+        ]
         if failed:
             lines.append(f"FAILED: {len(failed)} non-conformant cases")
             for case in failed[:10]:
@@ -464,100 +419,153 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _check_case(
-    program: Program, plan: FaultPlan, outcomes: dict[str, Outcome],
-    refs: dict[str, Reference],
-) -> list[str]:
-    """Conformance and per-outcome validity checks for one case."""
-    failures: list[str] = []
-    classes = {o.klass for o in outcomes.values()}
-    if len(classes) > 1:
-        failures.append(
-            "outcome classes diverge: "
-            + ", ".join(f"{p}={o.klass.value}" for p, o in sorted(outcomes.items()))
-        )
-        return failures
+@dataclass(frozen=True)
+class Family:
+    """What one kind of chaos sweep varies and what it promises.
 
-    klass = next(iter(classes))
-    if klass is OutcomeClass.TRAPPED:
-        kinds = {o.trap for o in outcomes.values()}
-        if len(kinds) > 1:
-            failures.append(f"trap kinds diverge: {sorted(kinds)}")
-        for preset, outcome in outcomes.items():
-            if not outcome.trap:
-                failures.append(f"{preset}: trapped without a kind")
-            if outcome.pc < 0:
-                failures.append(f"{preset}: trapped without a pc")
-            if not outcome.proc:
-                failures.append(f"{preset}: trapped without a procedure")
-        return failures
+    ``make_plan(name, program, refs, seed)`` instantiates a plan of the
+    table (None: it does not apply); ``run(program, preset, plan,
+    engine)`` runs one case on one implementation.  The contract: every
+    preset lands in the same class and trap kind (``presets_agree``); a
+    re-run meters identically (``rerun_meters``); a case ends in one of
+    ``endings``; a trap names its (pc, proc) (``sited``).
+    """
 
-    expected = list(program.expect_results)
-    for preset, outcome in outcomes.items():
-        if outcome.results != expected:
-            failures.append(
-                f"{preset}: results {outcome.results} != expected {expected}"
-            )
-        if program.expect_output and outcome.output != list(program.expect_output):
-            failures.append(f"{preset}: output diverged from the program's")
-    if klass is OutcomeClass.RESUMED:
-        for preset, outcome in outcomes.items():
-            if outcome.restores < 1:
-                failures.append(f"{preset}: classed RESUMED without a restore")
-            if outcome.meters != refs[preset].meters:
-                delta = {
-                    key: outcome.meters.get(key, 0) - refs[preset].meters.get(key, 0)
-                    for key in set(outcome.meters) | set(refs[preset].meters)
-                    if outcome.meters.get(key, 0) != refs[preset].meters.get(key, 0)
-                }
-                failures.append(
-                    f"{preset}: meters diverged from uninterrupted run: {delta}"
-                )
-            if outcome.steps != refs[preset].steps:
-                failures.append(
-                    f"{preset}: steps {outcome.steps} != reference "
-                    f"{refs[preset].steps}"
-                )
-    return failures
+    name: str
+    schema: str
+    plans: tuple[str, ...]
+    make_plan: Callable[[str, Program, dict, int], FaultPlan | None]
+    run: Callable[[Program, str, FaultPlan, str], Outcome]
+    programs: tuple[str, ...]
+    presets: tuple[str, ...] = ALL_PRESETS
+    presets_agree: bool = True
+    rerun_meters: bool = False
+    endings: frozenset[OutcomeClass] = frozenset(OutcomeClass)
+    sited: bool = False
 
-
-def run_chaos(
-    programs: tuple[str, ...] = DEFAULT_PROGRAMS,
-    seeds: int | tuple[int, ...] = 5,
-    plans: tuple[str, ...] = tuple(CANNED_PLANS),
-    presets: tuple[str, ...] = ALL_PRESETS,
-    engine: str = "interp",
-) -> ChaosReport:
-    """The sweep: programs x seeds x plans, each across *presets*."""
-    seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
-    report = ChaosReport()
-    for name in programs:
-        program = CORPUS[name]
-        if program.needs_descriptors and "i1" in presets:
-            report.skipped.append({"program": name, "reason": "needs descriptors"})
-            continue
-        refs = {preset: reference_run(program, preset) for preset in presets}
-        for seed in seed_list:
-            for plan_name in plans:
-                plan = make_plan(plan_name, program, refs, seed)
+    def sweep(
+        self,
+        programs: tuple[str, ...] = (),
+        seeds: int | tuple[int, ...] = 5,
+        plans: tuple[str, ...] = (),
+        presets: tuple[str, ...] = (),
+        engine: str = "interp",
+    ) -> ChaosReport:
+        """programs x seeds x plans, each case run on every preset and
+        checked against the family's contract (empty tuples mean the
+        family's defaults)."""
+        programs, plans = programs or self.programs, plans or self.plans
+        for kind, names, known in (
+            ("corpus programs", programs, CORPUS), ("plans", plans, self.plans)
+        ):
+            if unknown := [name for name in names if name not in known]:
+                raise ChaosError(f"unknown {kind} {unknown} for the {self.name} "
+                                 f"family (known: {', '.join(known)})")
+        presets = tuple(presets or self.presets)
+        seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
+        report = ChaosReport(self, presets)
+        for name in programs:
+            program = CORPUS[name]
+            if program.needs_descriptors and "i1" in presets:
+                report.skipped.append({"program": name, "reason": "needs descriptors"})
+                continue
+            refs = {preset: reference_run(program, preset) for preset in presets}
+            for seed, plan_name in itertools.product(seed_list, plans):
+                plan = self.make_plan(plan_name, program, refs, seed)
                 if plan is None:
                     report.skipped.append(
                         {"program": name, "seed": seed, "plan": plan_name,
                          "reason": "not applicable"}
                     )
                     continue
-                outcomes = {
-                    preset: run_case(program, preset, plan, engine)
-                    for preset in presets
-                }
-                failures = _check_case(program, plan, outcomes, refs)
+                outcomes: dict[str, Outcome] = {}
+                failures: list[str] = []
+                for preset in presets:
+                    outcomes[preset] = self.run(program, preset, plan, engine)
+                    if self.rerun_meters and (
+                        self.run(program, preset, plan, engine).meters
+                        != outcomes[preset].meters
+                    ):
+                        failures.append(
+                            f"{preset}: meters differ between two seeded "
+                            f"runs of the same plan"
+                        )
+                failures += self.check(program, outcomes, refs)
                 report.cases.append(
-                    CaseResult(
-                        program=name,
-                        seed=seed,
-                        plan=plan.to_dict(),
-                        outcomes=outcomes,
-                        failures=failures,
-                    )
+                    CaseResult(name, seed, plan.to_dict(), outcomes, failures)
                 )
-    return report
+        return report
+
+    def check(
+        self, program: Program, outcomes: dict[str, Outcome],
+        refs: dict[str, Reference],
+    ) -> list[str]:
+        """Conformance and per-outcome validity checks for one case."""
+        failures: list[str] = []
+        if self.presets_agree:
+            if len({o.klass for o in outcomes.values()}) > 1:
+                return [
+                    "outcome classes diverge: "
+                    + ", ".join(
+                        f"{p}={o.klass.value}" for p, o in sorted(outcomes.items())
+                    )
+                ]
+            kinds = {o.trap for o in outcomes.values()}
+            if len(kinds) > 1:
+                failures.append(f"trap kinds diverge: {sorted(kinds)}")
+
+        expected = list(program.expect_results)
+        for preset, outcome in outcomes.items():
+            if outcome.klass not in self.endings:
+                failures.append(
+                    f"{preset}: a {self.name} case may not end "
+                    f"{outcome.klass.value} ({outcome.trap}: {outcome.detail})"
+                )
+            if outcome.wire.get("migrated") is False:
+                failures.append(f"{preset}: the root never migrated")
+            if outcome.klass is OutcomeClass.TRAPPED:
+                if not outcome.trap:
+                    failures.append(f"{preset}: trapped without a kind")
+                if not outcome.detail:
+                    failures.append(f"{preset}: trapped without diagnostics")
+                if self.sited and (outcome.pc < 0 or not outcome.proc):
+                    failures.append(f"{preset}: trapped without a (pc, proc) site")
+                continue
+            if outcome.results != expected:
+                failures.append(
+                    f"{preset}: results {outcome.results} != expected {expected}"
+                )
+            if program.expect_output and outcome.output != list(program.expect_output):
+                failures.append(f"{preset}: output diverged from the program's")
+            if outcome.klass is OutcomeClass.RESUMED:
+                ref = refs[preset]
+                if outcome.restores < 1:
+                    failures.append(f"{preset}: classed RESUMED without a restore")
+                if outcome.meters != ref.meters:
+                    delta = {
+                        key: outcome.meters.get(key, 0) - ref.meters.get(key, 0)
+                        for key in set(outcome.meters) | set(ref.meters)
+                        if outcome.meters.get(key, 0) != ref.meters.get(key, 0)
+                    }
+                    failures.append(
+                        f"{preset}: meters diverged from uninterrupted run: {delta}"
+                    )
+                if outcome.steps != ref.steps:
+                    failures.append(
+                        f"{preset}: steps {outcome.steps} != reference {ref.steps}"
+                    )
+        return failures
+
+
+#: Fault plans over corpus programs on one machine per preset.
+MACHINE = Family(
+    name="machine",
+    schema=CHAOS_SCHEMA,
+    plans=tuple(CANNED_PLANS),
+    make_plan=make_plan,
+    run=run_case,
+    programs=DEFAULT_PROGRAMS,
+    sited=True,
+)
+
+run_chaos = MACHINE.sweep

@@ -9,6 +9,7 @@ import pytest
 
 from repro.interp.machine import Machine
 from repro.interp.machineconfig import MachineConfig
+from repro.jit.engine import JitEngine
 from repro.lang.compiler import CompileOptions, compile_program
 from repro.lang.linker import LinkOptions, link
 from repro.machine.costs import CycleCounter
@@ -34,6 +35,20 @@ def make_rng(seed: int | str = DEFAULT_TEST_SEED) -> random.Random:
 def seeded_rng() -> random.Random:
     """A fresh, deterministically seeded RNG per test."""
     return make_rng()
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Count calls into ``JitEngine.run``."""
+    calls = []
+    original = JitEngine.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(JitEngine, "run", counted)
+    return calls
 
 
 @pytest.fixture

@@ -8,10 +8,10 @@ from repro.errors import NetError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan, Injection, at_step, on_event
 from repro.net.chaos import (
+    NET,
     NET_PLANS,
     make_net_plan,
     run_net_case,
-    run_net_chaos,
 )
 
 
@@ -61,7 +61,7 @@ def test_blackhole_case_traps_cleanly_with_diagnostics():
 
 
 def test_sweep_is_conformant_on_all_presets():
-    report = run_net_chaos(seeds=1)
+    report = NET.sweep(seeds=1)
     assert report.ok, report.summary()
     classes = {
         outcome.klass

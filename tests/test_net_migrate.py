@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import RouteError
 from repro.interp.processes import ProcessStatus
 from repro.net.balance import Balancer
-from repro.net.chaos import run_net_migration_chaos
+from repro.net.chaos import MIGRATE
 from repro.net.cluster import Cluster
 from repro.net.colocate import plan_pins
 from repro.net.migrate import MigrateError, aggregate_meters, extract
@@ -278,7 +278,7 @@ def test_plan_pins_colocates_hottest_pair():
 
 
 def test_migration_races_chaos_and_recovers():
-    report = run_net_migration_chaos(
+    report = MIGRATE.sweep(
         plans=("net_partition", "net_dup_delay"), seeds=1, presets=("i2", "i4")
     )
     assert report.ok, report.summary()

@@ -15,7 +15,6 @@ import pytest
 from repro.errors import StepLimitExceeded
 from repro.interp.processes import ProcessStatus, Scheduler
 from repro.jit import install_jit
-from repro.jit.engine import JitEngine
 from repro.net.balance import Balancer
 from repro.net.cluster import Cluster
 from repro.net.serve import (
@@ -60,20 +59,6 @@ END;
 END.
 """
 ]
-
-
-@pytest.fixture
-def engine_runs(monkeypatch):
-    """Count calls into ``JitEngine.run``."""
-    calls = []
-    original = JitEngine.run
-
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(JitEngine, "run", counted)
-    return calls
 
 
 def shard_meters(cluster: Cluster) -> list:
